@@ -443,12 +443,8 @@ class Router:
         load = np.bincount(sources, minlength=graph.num_nodes) + np.bincount(
             destinations, minlength=graph.num_nodes
         )
-        allowed = np.array(
-            [
-                self.params.packets_per_node(graph.num_nodes, d)
-                for d in graph.degrees
-            ],
-            dtype=np.int64,
+        allowed = self.params.packets_per_node(
+            graph.num_nodes, graph.degrees
         )
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = load / np.maximum(allowed, 1)
@@ -683,34 +679,47 @@ class Router:
         Each packet sits at a portal that has at least one overlay edge
         into its target part; it crosses a uniformly random such edge.
         Cost is the measured max number of packets on a single edge.
+
+        All packets are handled at once: a CSR gather of every portal's
+        arcs, a mask of the arcs into the packet's target part, and one
+        ``rng.integers(0, counts)`` draw, which consumes the generator
+        exactly like one scalar draw per packet in packet order.
         """
+        if portals.size == 0:
+            return np.empty_like(portals), 0.0
         overlay = self.hierarchy.overlay_at(level)
         parts_next = self.hierarchy.parts_at(level + 1)
-        landed = np.empty_like(portals)
-        chosen_arcs = np.empty_like(portals)
-        for i, (portal, part) in enumerate(zip(portals, target_parts)):
-            arcs = np.arange(
-                overlay.indptr[portal], overlay.indptr[portal + 1]
+        begin = overlay.indptr[portals]
+        degree = overlay.indptr[portals + 1] - begin
+        packet = np.repeat(np.arange(portals.size), degree)
+        # Arc k of the gather is arc (k - first[packet]) of its portal.
+        first = np.cumsum(degree) - degree
+        arcs = np.arange(packet.size) + np.repeat(begin - first, degree)
+        heads = overlay.indices[arcs]
+        valid = parts_next[heads] == target_parts[packet]
+        if self._self_heal:
+            # Prefer boundary edges whose far endpoint is live; a hop
+            # into a crashed node would strand the packet.  A portal
+            # whose boundary heads are all dead keeps its dead edges.
+            live = valid & ~self._dead_vnode[heads]
+            has_live = np.bincount(packet[live], minlength=portals.size) > 0
+            valid = np.where(has_live[packet], live, valid)
+        counts = np.bincount(packet[valid], minlength=portals.size)
+        stranded = np.flatnonzero(counts == 0)
+        if stranded.size:
+            i = int(stranded[0])
+            # The packets ahead of the stranded one still draw.
+            self.rng.integers(0, counts[:i])
+            raise RoutingError(
+                f"portal {int(portals[i])} lost its boundary edge to part "
+                f"{int(target_parts[i])} at level {level + 1}"
             )
-            heads = overlay.indices[arcs]
-            valid = arcs[parts_next[heads] == part]
-            if self._self_heal and valid.size:
-                # Prefer boundary edges whose far endpoint is live; a
-                # hop into a crashed node would strand the packet.
-                live = valid[~self._dead_vnode[overlay.indices[valid]]]
-                if live.size:
-                    valid = live
-            if valid.size == 0:
-                raise RoutingError(
-                    f"portal {int(portal)} lost its boundary edge to part "
-                    f"{int(part)} at level {level + 1}"
-                )
-            arc = int(valid[self.rng.integers(0, valid.size)])
-            landed[i] = overlay.indices[arc]
-            chosen_arcs[i] = arc
+        picks = self.rng.integers(0, counts)
+        chosen_arcs = arcs[valid][np.cumsum(counts) - counts + picks]
+        landed = overlay.indices[chosen_arcs].astype(portals.dtype, copy=False)
         # Per *directed* arc: opposite-direction crossings run in parallel
         # (one message per edge per direction per round).
-        congestion = np.bincount(chosen_arcs).max() if portals.size else 0
+        congestion = np.bincount(chosen_arcs).max()
         return landed, float(congestion)
 
     def _bottom_deliver(

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Params:
@@ -166,11 +168,24 @@ class Params:
         """Independence ``W`` of the partition hash family."""
         return max(4, int(round(self.hash_independence * _log2(n))))
 
-    def packets_per_node(self, n: int, degree: int) -> int:
-        """Routing-load promise for a node of the given degree."""
-        return max(
-            1, int(round(self.packets_per_node_factor * degree * _log2(n)))
+    def packets_per_node(
+        self, n: int, degree: int | np.ndarray
+    ) -> int | np.ndarray:
+        """Routing-load promise for a node of the given degree.
+
+        ``degree`` may also be an array of degrees, giving an ``int64``
+        array of promises; ``np.round`` rounds half to even, like
+        ``round``, so each entry equals the scalar call.
+        """
+        promise = np.maximum(
+            1,
+            np.round(
+                self.packets_per_node_factor
+                * np.asarray(degree)
+                * _log2(n)
+            ).astype(np.int64),
         )
+        return int(promise) if promise.ndim == 0 else promise
 
 
 def _log2(n: int) -> float:

@@ -127,6 +127,72 @@ def _step_stats(
     return edge_congestion, int(node_counts.max())
 
 
+#: Bound on the per-block scratch of :func:`run_lazy_walks`, in array
+#: cells: a block of ``b`` steps over ``width`` walks keeps ``b * width``
+#: uniforms, positions and arcs plus ``b * bins`` counters.  Batches at
+#: least this wide (every construction batch) run one step per block.
+_BLOCK_CELLS = 1 << 16
+
+
+def _block_max_counts(
+    rows: list[np.ndarray], bins: int, mask: np.ndarray | None = None
+) -> list[int]:
+    """Per step, the max number of entries of its row sharing one bin.
+
+    One ``bincount`` covers the whole block: step ``t`` counts into bins
+    ``[t * bins, (t + 1) * bins)``.  ``mask`` (shape ``(steps, width)``)
+    keeps only the entries to count.
+    """
+    if len(rows) == 1:
+        keys = rows[0][None]
+    else:
+        keys = np.array(rows)
+        keys += np.arange(len(rows), dtype=np.int64)[:, None] * bins
+    if mask is not None:
+        keys = keys[mask]
+    counts = np.bincount(keys.ravel(), minlength=len(rows) * bins)
+    return counts.reshape(len(rows), bins).max(axis=1).tolist()
+
+
+def _lazy_block(
+    graph: Graph,
+    positions: np.ndarray,
+    steps: int,
+    rng: np.random.Generator,
+    trajectory: list[np.ndarray] | None,
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """Advance every walk ``steps`` lazy steps off one block of uniforms.
+
+    Returns the new positions and, per step, the max arc load and the
+    max node load.  Everything else the block allocates is freed on
+    return, so a one-step block peaks no higher than a plain step.
+    """
+    uniforms = rng.random((steps, 2, positions.shape[0]))
+    # A walk on a degree-0 node never moves and one on a positive-degree
+    # node only reaches positive-degree nodes, so the degree-0 guard of
+    # the block's first step holds for all its steps.
+    move = (uniforms[:, 0] < 0.5) & (graph.degrees[positions] > 0)
+    choices = uniforms[:, 1].copy()
+    del uniforms  # the stay coins are folded into ``move``
+    arc_rows = []
+    node_rows = []
+    for coin, choice in zip(move, choices):
+        positions, chosen_arcs = advance_lazy_step(
+            positions, coin, choice,
+            graph.indptr, graph.indices, graph.degrees, graph.num_arcs,
+        )
+        arc_rows.append(chosen_arcs)
+        node_rows.append(positions)
+    if trajectory is not None:
+        trajectory.extend(node_rows)
+    # Congestion is per *directed* arc: the CONGEST model allows one
+    # message per edge per direction per round, so opposite-direction
+    # tokens cross simultaneously.
+    congestion = _block_max_counts(arc_rows, max(1, graph.num_arcs), move)
+    loads = _block_max_counts(node_rows, max(1, graph.num_nodes))
+    return positions, congestion, loads
+
+
 def run_lazy_walks(
     graph: Graph,
     starts: np.ndarray,
@@ -135,6 +201,12 @@ def run_lazy_walks(
     record_trajectory: bool = False,
 ) -> WalkRun:
     """Run lazy random walks (stay w.p. 1/2, else uniform incident edge).
+
+    Steps run in blocks: one ``rng.random((block, 2, width))`` draw per
+    block yields exactly the per-step (stay coin, arc choice) stream of
+    ``2 * width`` uniforms, and the block's per-step congestion and
+    node loads come from one ``bincount`` each.  The block length keeps
+    the scratch near ``_BLOCK_CELLS``.
 
     Args:
         graph: the graph to walk on.
@@ -151,20 +223,14 @@ def run_lazy_walks(
     positions = starts.copy()
     run = WalkRun(starts=starts, positions=positions, steps=steps)
     trajectory = [starts.copy()] if record_trajectory else None
-    indptr = graph.indptr
-    degrees = graph.degrees
-    for _ in range(steps):
-        move = rng.random(positions.shape[0]) < 0.5
-        move &= degrees[positions] > 0
-        positions, chosen_arcs = advance_lazy_step(
-            positions, move, rng.random(positions.shape[0]),
-            indptr, graph.indices, degrees, graph.num_arcs,
+    cells_per_step = max(starts.shape[0], graph.num_arcs, graph.num_nodes, 1)
+    block = max(1, _BLOCK_CELLS // cells_per_step)
+    for done in range(0, steps, block):
+        positions, congestion, loads = _lazy_block(
+            graph, positions, min(block, steps - done), rng, trajectory
         )
-        congestion, node_load = _step_stats(graph, positions, chosen_arcs, move)
-        run.edge_congestion.append(congestion)
-        run.max_node_load.append(node_load)
-        if trajectory is not None:
-            trajectory.append(positions.copy())
+        run.edge_congestion.extend(congestion)
+        run.max_node_load.extend(loads)
     run.positions = positions
     if trajectory is not None:
         run.trajectory = np.stack(trajectory)  # type: ignore[attr-defined]

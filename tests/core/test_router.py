@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.congest.detector import CrashView
 from repro.core import Router, build_hierarchy
 from repro.core.router import RoutingError
 from repro.graphs import grid_torus, hypercube, random_regular
@@ -196,3 +197,133 @@ class TestTracing:
         result = router64.route(sources, destinations, trace=True)
         assert result.delivered
         assert result.packet_hops.shape == (64,)
+
+
+def _scalar_hop(router, level, portals, target_parts):
+    """One packet at a time, one ``rng.integers`` draw each: the oracle
+    for the vectorized :meth:`Router._hop`."""
+    overlay = router.hierarchy.overlay_at(level)
+    parts_next = router.hierarchy.parts_at(level + 1)
+    landed = np.empty_like(portals)
+    chosen_arcs = np.empty_like(portals)
+    for i, (portal, part) in enumerate(zip(portals, target_parts)):
+        arcs = np.arange(overlay.indptr[portal], overlay.indptr[portal + 1])
+        valid = arcs[parts_next[overlay.indices[arcs]] == part]
+        if router._self_heal and valid.size:
+            live = valid[~router._dead_vnode[overlay.indices[valid]]]
+            if live.size:
+                valid = live
+        if valid.size == 0:
+            raise RoutingError(
+                f"portal {int(portal)} lost its boundary edge to part "
+                f"{int(part)} at level {level + 1}"
+            )
+        arc = int(valid[router.rng.integers(0, valid.size)])
+        landed[i] = overlay.indices[arc]
+        chosen_arcs[i] = arc
+    congestion = np.bincount(chosen_arcs).max() if portals.size else 0
+    return landed, float(congestion)
+
+
+def _hop_packets(hierarchy, level, count, seed):
+    """Random (portal, target part) pairs with at least one arc from the
+    portal into the part, repeats included."""
+    overlay = hierarchy.overlay_at(level)
+    parts_next = hierarchy.parts_at(level + 1)
+    rng = np.random.default_rng(seed)
+    portals, parts = [], []
+    while len(portals) < count:
+        vnode = int(rng.integers(0, overlay.num_nodes))
+        heads = overlay.neighbors(vnode)
+        if heads.size:
+            portals.append(vnode)
+            parts.append(int(rng.choice(parts_next[heads])))
+    return np.array(portals, dtype=np.int64), np.array(parts, dtype=np.int64)
+
+
+def _run_both(router, level, portals, parts):
+    """``(oracle outcome, vectorized outcome)``, each with the generator
+    state it leaves; both start from the same state."""
+    outcomes = []
+    start = router.rng.bit_generator.state
+    for hop in (
+        lambda: _scalar_hop(router, level, portals, parts),
+        lambda: router._hop(level, portals, parts),
+    ):
+        router.rng.bit_generator.state = start
+        try:
+            result = hop()
+        except RoutingError as error:
+            result = str(error)
+        outcomes.append((result, router.rng.bit_generator.state))
+    return outcomes
+
+
+def _assert_same(outcomes):
+    (expected, expected_state), (actual, actual_state) = outcomes
+    if isinstance(expected, str):
+        assert actual == expected
+    else:
+        assert np.array_equal(actual[0], expected[0])
+        assert actual[0].dtype == expected[0].dtype
+        assert actual[1] == expected[1]
+    assert actual_state == expected_state
+
+
+class TestVectorizedHop:
+    """``Router._hop`` draws and lands exactly like the per-packet loop."""
+
+    @pytest.fixture()
+    def router(self, hierarchy64, router64, params):
+        return Router(
+            hierarchy64, portals=router64.portals, params=params,
+            rng=np.random.default_rng(90),
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scalar_loop(self, router, hierarchy64, seed):
+        for level in range(hierarchy64.depth):
+            portals, parts = _hop_packets(hierarchy64, level, 200, seed)
+            _assert_same(_run_both(router, level, portals, parts))
+
+    def test_empty_packet_set(self, router):
+        empty = np.empty(0, dtype=np.int64)
+        outcomes = _run_both(router, 0, empty, empty)
+        _assert_same(outcomes)
+        assert outcomes[1][0][0].size == 0
+
+    def test_stranded_portal_error(self, router, hierarchy64):
+        portals, parts = _hop_packets(hierarchy64, 0, 12, 3)
+        parts[5] = hierarchy64.parts_at(1).max() + 1  # no arc leads there
+        outcomes = _run_both(router, 0, portals, parts)
+        _assert_same(outcomes)
+        assert outcomes[1][0].startswith(f"portal {int(portals[5])} ")
+
+    def test_self_heal_prefers_live_and_falls_back_to_dead(
+        self, hierarchy64, router64, params
+    ):
+        portals, parts = _hop_packets(hierarchy64, 0, 300, 4)
+        overlay = hierarchy64.overlay_at(0)
+        host = hierarchy64.g0.virtual.host
+        parts_next = hierarchy64.parts_at(1)
+        # Kill the hosts of every boundary head of packet 0, so its
+        # portal keeps only dead edges, plus a few more hosts.
+        heads = overlay.neighbors(portals[0])
+        dead_hosts = set(host[heads[parts_next[heads] == parts[0]]].tolist())
+        dead_hosts |= {3, 17, 40}
+        view = CrashView(64, ((0, 10**6, frozenset(dead_hosts)),), 0.0)
+        router = Router(
+            hierarchy64, portals=router64.portals, params=params,
+            rng=np.random.default_rng(91), recovery="self-heal",
+            crash_view=view,
+        )
+        assert router._self_heal
+        dead = router._dead_vnode
+        fallback = partial = 0
+        for portal, part in zip(portals, parts):
+            heads = overlay.neighbors(portal)
+            valid = heads[parts_next[heads] == part]
+            fallback += bool(dead[valid].all())
+            partial += bool(dead[valid].any() and not dead[valid].all())
+        assert fallback and partial
+        _assert_same(_run_both(router, 0, portals, parts))

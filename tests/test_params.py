@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.params import Params
@@ -76,6 +77,39 @@ class TestDerived:
             p.bottom_size,
         ):
             assert fn(4096) >= fn(64)
+
+
+class TestPacketsPerNodeArrayForm:
+    """One call over a degree array equals the per-degree calls."""
+
+    DEGREES = np.arange(65)
+    SIZES = (1, 2, 3, 64, 512, 4096)
+
+    @pytest.mark.parametrize("factor", [1.0, 0.25, 0.3])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_array_equals_scalar(self, factor, n):
+        p = Params.default().with_overrides(packets_per_node_factor=factor)
+        promise = p.packets_per_node(n, self.DEGREES)
+        assert promise.dtype == np.int64
+        assert promise.shape == self.DEGREES.shape
+        scalar = [p.packets_per_node(n, int(d)) for d in self.DEGREES]
+        assert all(type(value) is int for value in scalar)
+        assert promise.tolist() == scalar
+        # The original scalar formula, Python's round included.
+        log_n = max(1.0, math.log2(max(2, n)))
+        reference = [
+            max(1, int(round(factor * int(d) * log_n))) for d in self.DEGREES
+        ]
+        assert scalar == reference
+
+    def test_ties_round_half_even(self):
+        p = Params.default().with_overrides(packets_per_node_factor=0.25)
+        raw = 0.25 * self.DEGREES * 1.0  # n=2: log2 clamps to 1
+        assert np.any(raw % 1 == 0.5)
+        promise = p.packets_per_node(2, self.DEGREES)
+        assert promise[10] == 2  # 2.5 -> 2
+        assert promise[14] == 4  # 3.5 -> 4
+        assert p.packets_per_node(2, 10) == 2
 
 
 class TestCorrelatedFlag:

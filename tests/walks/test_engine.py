@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.graphs import complete_graph, hypercube, ring_graph, star_graph
+from repro.graphs import (
+    Graph,
+    complete_graph,
+    hypercube,
+    random_regular,
+    ring_graph,
+    star_graph,
+)
 from repro.walks import run_lazy_walks, run_regular_walks
+from repro.walks.engine import _BLOCK_CELLS, advance_lazy_step
 
 
 @pytest.fixture()
@@ -84,6 +92,90 @@ class TestLazyWalks:
         g = ring_graph(8)
         run = run_lazy_walks(g, np.arange(8), 1, rng)
         assert run.num_walks == 8
+
+
+def _per_step_lazy_walks(graph, starts, steps, rng):
+    """The lazy-walk engine one step at a time: two ``rng.random(W)``
+    draws and two full-size ``bincount``s per step.  The oracle the
+    blocked engine must match bit for bit."""
+    positions = np.asarray(starts, dtype=np.int64).copy()
+    trajectory = [positions.copy()]
+    edge_congestion, max_node_load = [], []
+    for _ in range(steps):
+        move = rng.random(positions.shape[0]) < 0.5
+        move &= graph.degrees[positions] > 0
+        positions, chosen_arcs = advance_lazy_step(
+            positions, move, rng.random(positions.shape[0]),
+            graph.indptr, graph.indices, graph.degrees, graph.num_arcs,
+        )
+        if move.any():
+            arc_counts = np.bincount(
+                chosen_arcs[move], minlength=graph.num_arcs
+            )
+            edge_congestion.append(int(arc_counts.max()))
+        else:
+            edge_congestion.append(0)
+        node_counts = np.bincount(positions, minlength=graph.num_nodes)
+        max_node_load.append(int(node_counts.max()))
+        trajectory.append(positions.copy())
+    return positions, edge_congestion, max_node_load, np.stack(trajectory)
+
+
+def _isolated_tail_graph():
+    """Nodes 5 and 6 have degree 0; node 6 is last, so its CSR row
+    starts at ``num_arcs`` and exercises the arc-index clamp."""
+    return Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (2, 3)])
+
+
+class TestBlockedLazyWalksMatchPerStep:
+    """The blocked engine reproduces the per-step engine exactly:
+    same positions, congestion, loads, trajectory and generator state."""
+
+    @pytest.mark.parametrize(
+        "graph_name", ["expander", "ring", "isolated"]
+    )
+    @pytest.mark.parametrize("width", [0, 1, 32, "arcs"])
+    @pytest.mark.parametrize("steps", [0, 1, "blocks"])
+    def test_bit_identical(self, graph_name, width, steps):
+        graph = {
+            "expander": lambda: random_regular(
+                128, 6, np.random.default_rng(5)
+            ),
+            "ring": lambda: ring_graph(10),
+            "isolated": _isolated_tail_graph,
+        }[graph_name]()
+        if width == "arcs":
+            width = graph.num_arcs + 3
+        bins = max(graph.num_arcs, graph.num_nodes, 1)
+        block = max(1, _BLOCK_CELLS // max(width, bins))
+        if steps == "blocks":
+            steps = 2 * block + 3  # two full blocks and a partial one
+        starts = np.random.default_rng(width).integers(
+            0, graph.num_nodes, size=width
+        )
+        reference_rng = np.random.default_rng(99)
+        blocked_rng = np.random.default_rng(99)
+        positions, congestion, loads, trajectory = _per_step_lazy_walks(
+            graph, starts, steps, reference_rng
+        )
+        run = run_lazy_walks(
+            graph, starts, steps, blocked_rng, record_trajectory=True
+        )
+        assert np.array_equal(run.positions, positions)
+        assert run.edge_congestion == congestion
+        assert run.max_node_load == loads
+        assert np.array_equal(run.trajectory, trajectory)
+        assert (
+            blocked_rng.bit_generator.state
+            == reference_rng.bit_generator.state
+        )
+
+    def test_isolated_walkers_stay(self):
+        graph = _isolated_tail_graph()
+        run = run_lazy_walks(
+            graph, np.array([5, 6, 0]), 20, np.random.default_rng(3)
+        )
+        assert run.positions[0] == 5 and run.positions[1] == 6
 
 
 class TestRegularWalks:
