@@ -386,30 +386,34 @@ def repair_overlay(
         return RepairReport((), replaced, dropped, 0.0)
     num_vnodes = hierarchy.g0.virtual.count
     walk_length = max(4, int(round(3.0 * np.log2(max(2, num_vnodes)))))
+    dead_array = np.fromiter(dead, dtype=np.int64, count=len(dead))
     for level in hierarchy.levels:
         edges = level.overlay.edge_array
         if edges.size == 0:
             continue
-        tails = edges[:, 0]
-        heads = edges[:, 1]
-        hit = np.fromiter(
-            (
-                int(u) in dead or int(v) in dead
-                for u, v in zip(tails, heads)
-            ),
-            dtype=bool,
-            count=edges.shape[0],
-        )
+        hit = np.isin(edges, dead_array).any(axis=1)
         if not hit.any():
             continue
-        kept = [
-            (int(u), int(v))
-            for u, v in zip(tails[~hit], heads[~hit])
-        ]
-        adjacency: dict[int, set[int]] = {}
-        for u, v in kept:
-            adjacency.setdefault(u, set()).add(v)
-            adjacency.setdefault(v, set()).add(u)
+        kept = edges[~hit]
+        hit_edges = edges[hit].tolist()
+        # Only live endpoints that draw a replacement ever look up their
+        # neighbourhood, so only theirs is built.
+        drawers = set() if level.is_clique else {
+            v if u in dead else u
+            for u, v in hit_edges
+            if (u in dead) != (v in dead)
+        }
+        adjacency: dict[int, set[int]] = {x: set() for x in drawers}
+        if drawers:
+            drawer_array = np.fromiter(
+                drawers, dtype=np.int64, count=len(drawers)
+            )
+            touched = np.isin(kept, drawer_array).any(axis=1)
+            for u, v in kept[touched].tolist():
+                if u in adjacency:
+                    adjacency[u].add(v)
+                if v in adjacency:
+                    adjacency[v].add(u)
         parts = level.parts
         members_of: dict[int, list[int]] = {}
         for part in {int(parts[u]) for u in dead if u < parts.shape[0]}:
@@ -418,10 +422,10 @@ def repair_overlay(
                 for w in np.flatnonzero(parts == part).tolist()
                 if int(w) not in dead
             ]
+        added: list[tuple[int, int]] = []
         n_replaced = 0
         n_dropped = 0
-        for u, v in zip(tails[hit], heads[hit]):
-            u, v = int(u), int(v)
+        for u, v in hit_edges:
             live_end = None
             if u not in dead and v in dead:
                 live_end = u
@@ -441,7 +445,7 @@ def repair_overlay(
                     if int(w) not in dead
                 ]
                 members_of[part] = pool
-            taken = adjacency.get(live_end, set())
+            taken = adjacency[live_end]
             candidates = [
                 w for w in pool if w != live_end and w not in taken
             ]
@@ -449,10 +453,15 @@ def repair_overlay(
                 n_dropped += 1
                 continue
             w = candidates[int(rng.integers(0, len(candidates)))]
-            kept.append((live_end, w))
-            adjacency.setdefault(live_end, set()).add(w)
-            adjacency.setdefault(w, set()).add(live_end)
+            added.append((live_end, w))
+            taken.add(w)
+            if w in adjacency:
+                adjacency[w].add(live_end)
             n_replaced += 1
+        if added:
+            kept = np.concatenate(
+                (kept, np.array(added, dtype=np.int64))
+            )
         level.overlay = Graph(level.overlay.num_nodes, kept)
         if n_replaced:
             replaced[level.index] = n_replaced

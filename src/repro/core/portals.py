@@ -220,26 +220,57 @@ def _boundary_nodes(
     Returns a dict ``(part, sibling_index) -> array of boundary nodes``
     where ``sibling_index`` is the target part's index within its parent
     (``target_part % beta``).
+
+    Keys appear in the order their first crossing edge is met, and each
+    array holds its nodes in the iteration order of a Python ``set``
+    that received them in edge order (``u`` on the tail side, then
+    ``v``).  :func:`_sampled_portals` indexes these arrays with random
+    draws, so that order *is* the portal choice: the nodes are grouped
+    by key with a stable sort and each group goes through ``set`` in
+    its original order, never sorted.
     """
     edges = previous_overlay.edge_array
     if edges.size == 0:
         return {}
-    result: dict[tuple[int, int], set] = {}
     tail_parts = parts[edges[:, 0]]
     head_parts = parts[edges[:, 1]]
     crossing = (tail_parts != head_parts) & (
         tail_parts // beta == head_parts // beta
     )
-    for u, v, a, b in zip(
-        edges[crossing, 0], edges[crossing, 1],
-        tail_parts[crossing], head_parts[crossing],
+    if not crossing.any():
+        return {}
+    tail_parts, head_parts = tail_parts[crossing], head_parts[crossing]
+    # Insertions in order: edge (u, v) adds u under key (a, b % beta),
+    # then v under (b, a % beta); key (part, sibling) is coded as
+    # part * beta + sibling.  Flattening the (u, v) rows interleaves
+    # the nodes the same way.
+    nodes = edges[crossing].reshape(-1)
+    keys = np.empty(nodes.shape[0], dtype=np.int64)
+    keys[0::2] = tail_parts * beta + head_parts % beta
+    keys[1::2] = head_parts * beta + tail_parts % beta
+    del tail_parts, head_parts, crossing
+    # Keys are small: on the narrowest dtype that holds them, numpy's
+    # stable sort is a radix sort (up to 16 bits).
+    by_key = np.argsort(
+        keys.astype(np.min_scalar_type(int(keys.max()))), kind="stable"
+    )
+    nodes = nodes[by_key]
+    keys = keys[by_key]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    ends = np.append(starts[1:], keys.shape[0])
+    # by_key[start] is each key's first insertion.
+    first_seen = np.argsort(by_key[starts], kind="stable")
+    result: dict[tuple[int, int], np.ndarray] = {}
+    for start, end, key in zip(
+        starts[first_seen].tolist(),
+        ends[first_seen].tolist(),
+        keys[starts[first_seen]].tolist(),
     ):
-        result.setdefault((int(a), int(b % beta)), set()).add(int(u))
-        result.setdefault((int(b), int(a % beta)), set()).add(int(v))
-    return {
-        key: np.fromiter(nodes, dtype=np.int64, count=len(nodes))
-        for key, nodes in result.items()
-    }
+        members = set(nodes[start:end].tolist())
+        result[(key // beta, key % beta)] = np.fromiter(
+            members, dtype=np.int64, count=len(members)
+        )
+    return result
 
 
 def _sampled_portals(

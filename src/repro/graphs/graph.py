@@ -19,10 +19,9 @@ class Graph:
 
     Each undirected edge ``{u, v}`` is stored as two directed *arcs*
     ``u -> v`` and ``v -> u``.  Arc ``a`` has a *twin* arc (the reverse
-    direction) and an *edge id* ``a // 1`` shared with its twin via
-    :attr:`arc_edge`.  Virtual nodes in the routing construction are
-    identified with arcs (2m of them), which is why arcs are first-class
-    here.
+    direction) and an *edge id* ``arc_edge[a]`` shared with its twin.
+    Virtual nodes in the routing construction are identified with arcs
+    (2m of them), which is why arcs are first-class here.
 
     Attributes:
         num_nodes: number of nodes ``n``.
@@ -34,49 +33,65 @@ class Graph:
     """
 
     def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int]]):
-        edge_list = [(int(u), int(v)) for u, v in edges]
-        for u, v in edge_list:
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+        if not isinstance(edges, (np.ndarray, Sequence)):
+            edges = list(edges)
+        edge_array = np.array(edges, dtype=np.int64)
+        if edge_array.size == 0:
+            edge_array = edge_array.reshape(0, 2)
+        if edge_array.ndim != 2 or edge_array.shape[1] != 2:
+            raise ValueError(
+                f"edges must be (u, v) pairs, got shape {edge_array.shape}"
+            )
+        tails, heads = edge_array[:, 0], edge_array[:, 1]
+        out_of_range = (
+            (tails < 0) | (tails >= num_nodes)
+            | (heads < 0) | (heads >= num_nodes)
+        )
+        bad = out_of_range | (tails == heads)
+        if bad.any():
+            first = int(np.argmax(bad))
+            u, v = int(tails[first]), int(heads[first])
+            if out_of_range[first]:
                 raise ValueError(
                     f"edge ({u}, {v}) out of range for {num_nodes} nodes"
                 )
-            if u == v:
-                raise ValueError(f"self-loop at node {u} is not supported")
+            raise ValueError(f"self-loop at node {u} is not supported")
         self._num_nodes = int(num_nodes)
-        self._num_edges = len(edge_list)
-        self._build_csr(edge_list)
-        self._edge_array = np.array(
-            edge_list if edge_list else np.empty((0, 2)), dtype=np.int64
-        ).reshape(-1, 2)
+        self._num_edges = int(edge_array.shape[0])
+        self._edge_array = edge_array
+        self._build_csr()
 
-    def _build_csr(self, edge_list: Sequence[tuple[int, int]]) -> None:
-        n = self._num_nodes
-        m = len(edge_list)
-        degree = np.zeros(n, dtype=np.int64)
-        for u, v in edge_list:
-            degree[u] += 1
-            degree[v] += 1
-        indptr = np.zeros(n + 1, dtype=np.int64)
+    def _build_csr(self) -> None:
+        # Endpoints interleaved as u0 v0 u1 v1 ...: position 2e is the
+        # tail of edge e's u-arc, 2e + 1 the tail of its v-arc.  Arcs
+        # take the next free slot of their tail's row in edge order, so
+        # an endpoint's stable sort rank is exactly its arc id.  Node ids
+        # are sorted in the narrowest dtype that holds them, which numpy
+        # sorts by radix up to 16 bits.
+        endpoints = self._edge_array.reshape(-1)
+        num_arcs = endpoints.shape[0]
+        degree = np.bincount(endpoints, minlength=self._num_nodes).astype(
+            np.int64, copy=False
+        )
+        indptr = np.zeros(self._num_nodes + 1, dtype=np.int64)
         np.cumsum(degree, out=indptr[1:])
-        indices = np.empty(2 * m, dtype=np.int64)
-        arc_twin = np.empty(2 * m, dtype=np.int64)
-        arc_edge = np.empty(2 * m, dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for eid, (u, v) in enumerate(edge_list):
-            a = cursor[u]
-            cursor[u] += 1
-            b = cursor[v]
-            cursor[v] += 1
-            indices[a] = v
-            indices[b] = u
-            arc_twin[a] = b
-            arc_twin[b] = a
-            arc_edge[a] = eid
-            arc_edge[b] = eid
-        self.indptr = indptr
-        self.indices = indices
+        order = np.argsort(
+            endpoints.astype(np.min_scalar_type(self._num_nodes)),
+            kind="stable",
+        ).astype(np.int64, copy=False)
+        order ^= 1
+        self.indices = endpoints[order]
+        order ^= 1
+        rank = np.empty(num_arcs, dtype=np.int64)
+        rank[order] = np.arange(num_arcs, dtype=np.int64)
+        order >>= 1
+        self.arc_edge = order
+        pairs = rank.reshape(-1, 2)
+        arc_twin = np.empty(num_arcs, dtype=np.int64)
+        arc_twin[pairs[:, 0]] = pairs[:, 1]
+        arc_twin[pairs[:, 1]] = pairs[:, 0]
         self.arc_twin = arc_twin
-        self.arc_edge = arc_edge
+        self.indptr = indptr
         self._degree = degree
 
     # -- basic accessors ----------------------------------------------------
@@ -125,10 +140,9 @@ class Graph:
     @property
     def arc_tails(self) -> np.ndarray:
         """Tail node of every arc, shape ``(2m,)``."""
-        tails = np.empty(self.num_arcs, dtype=np.int64)
-        for v in range(self._num_nodes):
-            tails[self.indptr[v]: self.indptr[v + 1]] = v
-        return tails
+        return np.repeat(
+            np.arange(self._num_nodes, dtype=np.int64), self._degree
+        )
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate over undirected edges as ``(u, v)`` pairs."""

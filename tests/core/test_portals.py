@@ -298,3 +298,91 @@ class TestWalkVariant:
         support_a, support_b = set(a.tolist()), set(b.tolist())
         overlap = len(support_a & support_b) / max(1, len(support_a | support_b))
         assert overlap > 0.3
+
+
+def _set_boundary_nodes(previous_overlay, parts, beta):
+    """The set-based loop, kept as the oracle for the array version:
+    its dict order and each array's (set iteration) order are what
+    the portal draws index."""
+    edges = previous_overlay.edge_array
+    if edges.size == 0:
+        return {}
+    result = {}
+    tail_parts = parts[edges[:, 0]]
+    head_parts = parts[edges[:, 1]]
+    crossing = (tail_parts != head_parts) & (
+        tail_parts // beta == head_parts // beta
+    )
+    for u, v, a, b in zip(
+        edges[crossing, 0], edges[crossing, 1],
+        tail_parts[crossing], head_parts[crossing],
+    ):
+        result.setdefault((int(a), int(b % beta)), set()).add(int(u))
+        result.setdefault((int(b), int(a % beta)), set()).add(int(v))
+    return {
+        key: np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+        for key, nodes in result.items()
+    }
+
+
+def _assert_same_boundary(overlay, parts, beta):
+    """Same keys in the same order, same arrays in the same order;
+    returns whether some array is out of sorted order."""
+    got = _boundary_nodes(overlay, parts, beta)
+    want = _set_boundary_nodes(overlay, parts, beta)
+    assert list(got) == list(want)
+    unsorted = False
+    for key, nodes in want.items():
+        assert got[key].dtype == nodes.dtype
+        assert np.array_equal(got[key], nodes), key
+        unsorted |= bool(np.any(np.diff(nodes) < 0))
+    return unsorted
+
+
+class TestBoundaryNodesMatchSetOrder:
+    @pytest.mark.parametrize("beta", [2, 3, 4])
+    def test_hierarchies_of_three_families(self, beta):
+        from repro.core import build_hierarchy
+        from repro.graphs import erdos_renyi, hypercube, watts_strogatz
+
+        graphs = [
+            hypercube(5),
+            erdos_renyi(40, 0.2, np.random.default_rng(70)),
+            watts_strogatz(40, 6, 0.3, np.random.default_rng(71)),
+        ]
+        unsorted = False
+        for index, graph in enumerate(graphs):
+            hierarchy = build_hierarchy(
+                graph, Params.default(), np.random.default_rng(72 + index),
+                beta=beta,
+            )
+            for level in range(1, hierarchy.depth + 1):
+                unsorted |= _assert_same_boundary(
+                    hierarchy.overlay_at(level - 1),
+                    hierarchy.parts_at(level),
+                    beta,
+                )
+        # Set order is not sorted order: sorting the arrays would move
+        # every portal draw.
+        assert unsorted
+
+    def test_parallel_crossing_edges(self):
+        # Parts {0..3} | {4..7} | {8..11} under one parent (beta=3),
+        # nodes large enough that set order differs from sorted order.
+        rng = np.random.default_rng(73)
+        n = 300
+        parts = np.repeat(np.arange(3), n // 3)
+        edges = []
+        for _ in range(400):
+            u, v = rng.integers(0, n, size=2)
+            if parts[u] != parts[v]:
+                edges += [(int(u), int(v))] * int(rng.integers(1, 4))
+        edges += [edges[0][::-1], edges[1], edges[1]]
+        overlay = Graph(n, edges)
+        assert _assert_same_boundary(overlay, parts, 3)
+
+    def test_cross_parent_and_empty_levels(self):
+        parts = np.array([0, 1, 2, 3, 0, 1])
+        overlay = Graph(6, [(0, 2), (1, 3), (4, 5), (5, 4), (0, 1)])
+        _assert_same_boundary(overlay, parts, 2)
+        _assert_same_boundary(Graph(6, [(0, 4)]), parts, 2)

@@ -168,3 +168,166 @@ class TestWeightedGraph:
     def test_repr(self):
         g = WeightedGraph(3, [(0, 1)], [1.0])
         assert "WeightedGraph" in repr(g)
+
+
+def _loop_csr(num_nodes, edges):
+    """The per-edge loop construction, kept as the oracle for the array
+    construction: validation, then each edge's u-arc and v-arc take the
+    next free slot of their rows in edge order."""
+    edge_list = [(int(u), int(v)) for u, v in edges]
+    for u, v in edge_list:
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            raise ValueError(
+                f"edge ({u}, {v}) out of range for {num_nodes} nodes"
+            )
+        if u == v:
+            raise ValueError(f"self-loop at node {u} is not supported")
+    n, m = num_nodes, len(edge_list)
+    degree = np.zeros(n, dtype=np.int64)
+    for u, v in edge_list:
+        degree[u] += 1
+        degree[v] += 1
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    indices = np.empty(2 * m, dtype=np.int64)
+    arc_twin = np.empty(2 * m, dtype=np.int64)
+    arc_edge = np.empty(2 * m, dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    for eid, (u, v) in enumerate(edge_list):
+        a = cursor[u]
+        cursor[u] += 1
+        b = cursor[v]
+        cursor[v] += 1
+        indices[a], indices[b] = v, u
+        arc_twin[a], arc_twin[b] = b, a
+        arc_edge[a] = arc_edge[b] = eid
+    edge_array = np.array(
+        edge_list if edge_list else np.empty((0, 2)), dtype=np.int64
+    ).reshape(-1, 2)
+    return {
+        "indptr": indptr,
+        "indices": indices,
+        "arc_twin": arc_twin,
+        "arc_edge": arc_edge,
+        "degrees": degree,
+        "edge_array": edge_array,
+    }
+
+
+def _loop_arc_tails(graph):
+    tails = np.empty(graph.num_arcs, dtype=np.int64)
+    for v in range(graph.num_nodes):
+        tails[graph.indptr[v]: graph.indptr[v + 1]] = v
+    return tails
+
+
+def _assert_matches_oracle(graph, num_nodes, edge_list):
+    expected = _loop_csr(num_nodes, edge_list)
+    for name, want in expected.items():
+        got = getattr(graph, name)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    assert graph.num_nodes == num_nodes
+    assert graph.num_edges == len(edge_list)
+
+
+def _random_multigraph(rng, n, m):
+    """``m`` random non-loop edges on ``n`` nodes; parallel edges and
+    isolated nodes are likely at these densities."""
+    u = rng.integers(0, n, size=m)
+    v = (u + rng.integers(1, n, size=m)) % n
+    return [(int(a), int(b)) for a, b in zip(u, v)]
+
+
+class TestArrayConstructionMatchesLoop:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_multigraphs(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(0, 3 * n))
+        edges = _random_multigraph(rng, n, m)
+        # Force parallel edges in both orientations.
+        if edges:
+            edges += [edges[0], edges[0][::-1]]
+        _assert_matches_oracle(Graph(n, edges), n, edges)
+
+    def test_isolated_nodes_and_heavy_parallels(self):
+        edges = [(3, 7)] * 5 + [(7, 3)] * 4 + [(0, 9), (9, 0), (3, 0)]
+        _assert_matches_oracle(Graph(12, edges), 12, edges)
+
+    def test_no_edges(self):
+        _assert_matches_oracle(Graph(5, []), 5, [])
+
+    def test_single_node(self):
+        _assert_matches_oracle(Graph(1, []), 1, [])
+
+    @pytest.mark.parametrize("n", [3_000, 70_000])
+    def test_large_multigraph(self, n):
+        # Node ids past 8 and 16 bits: the sort dtype widens with n.
+        rng = np.random.default_rng(907)
+        edges = _random_multigraph(rng, n, 2 * n)
+        _assert_matches_oracle(Graph(n, edges), n, edges)
+
+    @pytest.mark.parametrize(
+        "form", ["tuples", "lists", "generator", "int32", "int64"]
+    )
+    def test_edge_input_forms(self, form):
+        rng = np.random.default_rng(908)
+        edges = _random_multigraph(rng, 20, 60)
+        given = {
+            "tuples": lambda: list(edges),
+            "lists": lambda: [list(e) for e in edges],
+            "generator": lambda: ((u, v) for u, v in edges),
+            "int32": lambda: np.array(edges, dtype=np.int32),
+            "int64": lambda: np.array(edges, dtype=np.int64),
+        }[form]()
+        _assert_matches_oracle(Graph(20, given), 20, edges)
+
+    def test_caller_array_is_copied(self):
+        edges = np.array([(0, 1), (1, 2), (2, 3)], dtype=np.int64)
+        graph = Graph(4, edges)
+        before = {
+            name: getattr(graph, name).copy()
+            for name in ("edge_array", "indices", "arc_edge", "arc_twin")
+        }
+        edges[:] = [(3, 2), (2, 1), (1, 0)]
+        for name, want in before.items():
+            assert np.array_equal(getattr(graph, name), want), name
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (1, 5), (2, 2), (0, 9)],
+            [(0, 1), (3, 3), (1, 5), (2, 2)],
+            [(0, 1), (-1, 2), (4, 4)],
+            [(4, 4), (0, 7)],
+            [(0, 1), (2, 6), (6, 2)],
+        ],
+    )
+    def test_first_offending_edge_reported(self, edges):
+        with pytest.raises(ValueError) as want:
+            _loop_csr(5, edges)
+        with pytest.raises(ValueError) as got:
+            Graph(5, edges)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError) as got_array:
+            Graph(5, np.array(edges))
+        assert str(got_array.value) == str(want.value)
+
+    def test_malformed_rows_rejected(self):
+        with pytest.raises(ValueError):
+            Graph(4, [(0, 1, 2)])
+
+
+class TestArcTails:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_node_loop(self, seed):
+        rng = np.random.default_rng(920 + seed)
+        n = int(rng.integers(2, 50))
+        edges = _random_multigraph(rng, n, int(rng.integers(0, 4 * n)))
+        graph = Graph(n + 3, edges)  # three isolated trailing nodes
+        tails = graph.arc_tails
+        want = _loop_arc_tails(graph)
+        assert tails.dtype == want.dtype
+        assert np.array_equal(tails, want)

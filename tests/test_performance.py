@@ -90,3 +90,51 @@ class TestKernelSpeed:
             router64.route(np.arange(64), rng.permutation(64))
         elapsed = time.perf_counter() - begin  # reprolint: disable=R003
         assert elapsed < 10.0, f"routing too slow: {elapsed:.1f}s"
+
+
+def _best_of(runs, fn):
+    best = float("inf")
+    for _ in range(runs):
+        begin = time.perf_counter()  # reprolint: disable=R003 (measurement)
+        fn()
+        elapsed = time.perf_counter() - begin  # reprolint: disable=R003
+        best = min(best, elapsed)
+    return best
+
+
+class TestChurnPathSpeed:
+    """Tripwires for the array code on the churn path.  Times below are
+    from a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4)."""
+
+    def test_graph_construction(self):
+        """200k edges in ~30 ms; the per-edge loop it replaced took
+        ~1.2 s on the same host."""
+        from repro.graphs import Graph
+
+        rng = np.random.default_rng(330)
+        n = 50_000
+        tails = rng.integers(0, n, size=200_000)
+        heads = (tails + rng.integers(1, n, size=200_000)) % n
+        edges = np.stack([tails, heads], axis=1)
+        elapsed = _best_of(3, lambda: Graph(n, edges))
+        assert elapsed < 0.3, f"Graph construction too slow: {elapsed:.2f}s"
+
+    def test_boundary_nodes_on_g0_overlay(self):
+        """The n=512 G0 overlay (110,592 edges, beta=64) in ~40 ms; the
+        Python-set loop it replaced took ~0.3 s on the same host, so
+        the ceiling sits at ~5x rather than 10x."""
+        from repro.core import build_g0, build_partition
+        from repro.core.portals import _boundary_nodes
+        from repro.params import Params
+
+        graph = random_regular(512, 6, np.random.default_rng(331))
+        params = Params.default()
+        g0 = build_g0(graph, params, np.random.default_rng(332))
+        partition = build_partition(
+            g0.virtual, params, np.random.default_rng(333)
+        )
+        parts = partition.all_parts_at_level(1)
+        elapsed = _best_of(
+            3, lambda: _boundary_nodes(g0.overlay, parts, partition.beta)
+        )
+        assert elapsed < 0.2, f"boundary discovery too slow: {elapsed:.2f}s"
