@@ -2,7 +2,7 @@
 """DEPRECATED shim — use ``python -m repro bench tripwire --check``.
 
 The native-build wall-budget canary now lives in the benchmark registry
-as the ``tripwire`` suite (same n=256 G0 + level-1 workload, same 5.4 s
+as the ``tripwire`` suite (same n=256 G0 + level-1 workload, same 4.6 s
 budget, gated uniformly with every other suite).  This shim keeps the
 old invocation working for one release and will then be removed.
 """

@@ -128,6 +128,15 @@ def schedule_paths_csr(
     :func:`schedule_paths` on the inflated lists — including the single
     ``rng.permutation(num_packets)`` draw — so both entries produce the
     same result on the same packet set and seed.
+
+    Every nonempty queue forwards its head every round, so a queue's
+    packets leave in consecutive rounds: ``due[e]``, the round in which
+    the last packet queued on edge ``e`` leaves, is the whole queue
+    state.  After round ``t``'s appends the queue holds ``due[e] - t``
+    packets, stays keyed iff ``due[e] > t``, and a round-``t`` append
+    keys it afresh iff ``due[e] < t`` — so a queue drained and refilled
+    in the same round keeps its place in drain order, as the
+    reference's end-of-round dict rebuild does.
     """
     rng = resolve_rng(rng, seed)
     nodes = np.asarray(nodes)
@@ -144,62 +153,100 @@ def schedule_paths_csr(
     # A hop starts at every node that is not the last of its path.
     starts_hop = np.ones(nodes.shape[0], dtype=bool)
     starts_hop[offsets[1:] - 1] = False
-    hop_positions = np.flatnonzero(starts_hop)
-    # Dense directed-edge ids for the (src, dst) hop keys — dense so
-    # the per-edge queue arrays stay small and cache-resident.
+    tails = nodes[:-1][starts_hop[:-1]]
+    heads = nodes[1:][starts_hop[:-1]]
+    del starts_hop
+    # Dense directed-edge ids for the (tail, head) hop keys — dense so
+    # the per-edge queue arrays stay small and cache-resident.  int64
+    # keys regardless of the caller's node dtype: span**2 can overflow
+    # int32 for large node-id ranges.
     low = int(nodes.min())
     span = int(nodes.max()) - low + 1
-    # int64 keys regardless of the caller's node dtype: span**2 can
-    # overflow int32 for large node-id ranges.
-    keys = (nodes[hop_positions].astype(np.int64) - low) * span + (
-        nodes[hop_positions + 1] - low
-    )
+    keys = (tails.astype(np.int64) - low) * span + (heads - low)
+    del tails, heads
     if span * span <= 4_194_304:
         # Presence table + scatter: same dense ids as
         # np.unique(return_inverse=True) without sorting every hop.
         seen = np.zeros(span * span, dtype=bool)
         seen[keys] = True
         uniq = np.flatnonzero(seen)
+        del seen
         num_edges = int(uniq.shape[0])
-        lut = np.empty(span * span, dtype=np.int64)
-        lut[uniq] = np.arange(num_edges, dtype=np.int64)
+        lut = np.empty(span * span, dtype=np.int32)
+        lut[uniq] = np.arange(num_edges, dtype=np.int32)
         hop_edge = lut[keys]
+        del lut, uniq
     else:
         uniq_keys, hop_edge = np.unique(keys, return_inverse=True)
         num_edges = int(uniq_keys.shape[0])
-    if num_edges * num_packets < 2**31:
-        # int32 sort keys in append() are measurably faster; safe since
-        # every combined key fits (edge * k + position < edges * packets).
         hop_edge = hop_edge.astype(np.int32)
-
-    state = _SchedulerState(num_packets, num_edges, hop_edge.dtype)
-    # Per-packet pointer into hop_edge; a packet is delivered once its
-    # pointer reaches the start of the next packet's hop range.
+        del uniq_keys
+    del keys
+    num_hops = int(hop_edge.shape[0])
+    # Packet p's hops are hop_offsets[p]:hop_offsets[p + 1].
     hop_offsets = np.zeros(num_packets + 1, dtype=np.int64)
     np.cumsum(np.maximum(lengths - 1, 0), out=hop_offsets[1:])
-    ptr = hop_offsets[:-1].copy()
-    end_ptr = hop_offsets[1:]
+    # next_edge[h]: the edge of the hop after h, -1 at a path's last hop.
+    next_edge = np.empty(num_hops, dtype=np.int32)
+    next_edge[:-1] = hop_edge[1:]
+    next_edge[hop_offsets[1:][entered] - 1] = -1
+    # Queue e's sentinel is slot e of the link array; packet p is slot
+    # num_edges + p, and cursor[slot] is its current hop.  These arrays
+    # are per packet, not per hop, and stay intp: numpy indexes with
+    # intp arrays without a conversion pass.
+    link = np.empty(num_edges + num_packets, dtype=np.intp)
+    cursor = np.empty(num_edges + num_packets, dtype=np.intp)
+    tail = np.empty(num_edges, dtype=np.intp)
+    due = np.full(num_edges, -1, dtype=np.int64)
+    key_dtype = np.min_scalar_type(num_edges)
     initial = order[entered[order]]  # packets entering, permutation order
-    max_queue = state.append(initial, hop_edge[ptr[initial]])
-    state.end_round()
+    first_hop = hop_offsets[initial]
+    initial += num_edges
+    cursor[initial] = first_hop
+    edges = hop_edge[first_hop].astype(np.intp)
+    del order, entered, lengths, hop_edge, hop_offsets, first_hop
+    grouped = np.argsort(edges.astype(key_dtype), kind="stable")
+    queues, starts, _, due_after = _enqueue_groups(
+        link, tail, due, 0, edges, initial, grouped
+    )
+    max_queue = int(due_after.max())
+    busy = queues[np.argsort(grouped[starts])]
     pending = int(initial.shape[0])
+    del initial, edges, grouped, queues, starts, due_after
     rounds = 0
     while pending:
         rounds += 1
         if rounds > max_rounds:
             raise RuntimeError("store-and-forward exceeded the round budget")
-        movers = state.pop_heads()  # dict-insertion (drain) order
-        moved_to = ptr[movers] + 1
-        ptr[movers] = moved_to
-        alive = moved_to != end_ptr[movers]
+        movers = link[busy]  # dict-insertion (drain) order
+        link[busy] = link[movers]
+        hop = cursor[movers]
+        cursor[movers] = hop + 1
+        edges = next_edge[hop]
+        alive = edges >= 0
         cont = movers[alive]  # still in drain order
         pending -= movers.shape[0] - cont.shape[0]
         if cont.shape[0]:
-            peak = state.append(cont, hop_edge[moved_to[alive]])
+            edges = edges[alive]
+            grouped = np.argsort(edges.astype(key_dtype), kind="stable")
+            queues, starts, due_before, due_after = _enqueue_groups(
+                link, tail, due, rounds, edges.astype(np.intp), cont, grouped
+            )
+            peak = int(due_after.max()) - rounds
             if peak > max_queue:
                 max_queue = peak
-        # End-of-round cleanup: queues that emptied lose their key.
-        state.end_round()
+            # End-of-round dict rebuild: emptied queues lose their key,
+            # queues keyed this round join at the end in first-append
+            # order (a group's first append is its earliest position).
+            busy = busy[due[busy] > rounds]
+            fresh = (due_before < rounds).nonzero()[0]
+            if fresh.shape[0]:
+                first_at = grouped[starts[fresh]]
+                busy = np.concatenate(
+                    (busy, queues[fresh[np.argsort(first_at)]])
+                )
+        else:
+            busy = busy[due[busy] > rounds]
     return StoreAndForwardResult(
         rounds=rounds,
         delivered=True,
@@ -208,105 +255,59 @@ def schedule_paths_csr(
     )
 
 
-class _SchedulerState:
-    """Array-backed FIFO queues for the vectorized scheduler.
+def _enqueue_groups(
+    link: np.ndarray,
+    tail: np.ndarray,
+    due: np.ndarray,
+    now: int,
+    queues: np.ndarray,
+    items: np.ndarray,
+    grouped: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Append a batch of items to array-backed FIFO queues.
 
-    One queue per directed edge, as a linked list over packet ids
-    (``next_packet``); ``queue_head``/``queue_tail``/``counts`` index it
-    per edge.  ``busy`` holds the nonempty queues' keys as an explicit
-    array in *dict insertion order*, replaying the reference
-    implementation's dict semantics structurally: at the end of a round
-    survivors keep their relative order and queues keyed for the first
-    time are appended in first-append order — exactly the reference's
-    ``dict.setdefault`` plus end-of-round rebuild.  ``live`` marks which
-    edges currently hold a key.
+    The queue kernel both store-and-forward simulators share (this
+    module's scheduler and
+    :func:`repro.congest.walk_engine_vec.simulate_walk_timing`).  Each
+    queue is a linked list through ``link``: queue ``q``'s head is
+    ``link[q]`` (its sentinel slot), item slots follow the sentinels,
+    and ``tail[q]`` is its last item.  Links past a tail are never read,
+    so there are no terminators.  ``due[q] - now`` is the queue's
+    backlog; it is empty iff ``due[q] <= now``.
+
+    Args:
+        link, tail, due: the queue state, updated in place.
+        now: the backlog origin (the current round for the scheduler,
+            0 for plain counts).
+        queues: per item, its queue id.
+        items: item slots to append.
+        grouped: a permutation of the batch that groups it by queue,
+            each group in its append order (a stable sort of
+            ``queues`` by queue, or by ``(queue, key)``).
+
+    Returns:
+        ``(queue_ids, starts, due_before, due_after)`` per touched
+        queue in queue-id order; ``starts`` indexes each group's first
+        item in ``grouped``.
     """
-
-    def __init__(self, num_packets: int, num_edges: int, edge_dtype):
-        self.next_packet = np.full(num_packets, -1, dtype=np.int64)
-        self._iota = np.arange(num_packets, dtype=edge_dtype)
-        self.queue_head = np.full(num_edges, -1, dtype=np.int64)
-        self.queue_tail = np.full(num_edges, -1, dtype=np.int64)
-        self.counts = np.zeros(num_edges, dtype=np.int64)
-        self.live = np.zeros(num_edges, dtype=bool)
-        self.busy = np.empty(0, dtype=np.int64)
-        self._fresh: np.ndarray | None = None
-        self._mark = np.zeros(num_packets, dtype=bool)  # scratch
-
-    def pop_heads(self) -> np.ndarray:
-        """Dequeue the FIFO head of every busy queue, in drain order."""
-        busy = self.busy
-        movers = self.queue_head[busy]
-        self.queue_head[busy] = self.next_packet[movers]
-        self.counts[busy] -= 1
-        return movers
-
-    def append(self, packets: np.ndarray, edges: np.ndarray) -> int:
-        """Enqueue ``packets`` onto ``edges`` (parallel arrays, append
-        order = drain order), returning the peak queue length touched."""
-        k = edges.shape[0]
-        # Group by edge while preserving append order within each group:
-        # the combined key (edge, position) is unique, so an *unstable*
-        # quicksort argsort yields the stable-grouped order at a
-        # fraction of a stable sort's cost.
-        grouped = np.argsort(edges * k + self._iota[:k])
-        run = packets[grouped]
-        run_edge = edges[grouped]
-        boundary = np.empty(k, dtype=bool)
-        boundary[0] = True
-        np.not_equal(run_edge[1:], run_edge[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        firsts = run[starts]
-        first_edges = run_edge[starts]
-        last_at = np.empty(starts.shape[0], dtype=np.int64)
-        last_at[:-1] = starts[1:] - 1
-        last_at[-1] = k - 1
-        # One scatter wires every link: each packet points at the next
-        # of its group, and each group's last packet gets the -1 tail.
-        link = np.empty(k, dtype=np.int64)
-        link[: k - 1] = run[1:]
-        link[last_at] = -1
-        self.next_packet[run] = link
-        lasts = run[last_at]
-        was_empty = self.counts[first_edges] == 0
-        self.queue_head[first_edges[was_empty]] = firsts[was_empty]
-        self.next_packet[self.queue_tail[first_edges[~was_empty]]] = firsts[
-            ~was_empty
-        ]
-        self.queue_tail[first_edges] = lasts
-        sizes = np.empty(starts.shape[0], dtype=np.int64)
-        sizes[:-1] = starts[1:] - starts[:-1]
-        sizes[-1] = k - starts[-1]
-        new_counts = self.counts[first_edges] + sizes
-        self.counts[first_edges] = new_counts
-        # Queues keyed for the first time, in first-append order (the
-        # dict key-insertion order): a group's first append happens at
-        # its earliest *original* position.
-        fresh = ~self.live[first_edges]
-        if fresh.any():
-            pos = grouped[starts[fresh]]
-            mark = self._mark
-            mark[pos] = True
-            new_edges = edges[np.flatnonzero(mark[:k])]
-            mark[pos] = False
-            self.live[new_edges] = True
-            self._fresh = new_edges
-        else:
-            self._fresh = None
-        return int(new_counts.max())
-
-    def end_round(self) -> None:
-        """End-of-round dict rebuild: emptied queues lose their key and
-        queues keyed during the round join at the end, in order."""
-        busy = self.busy
-        keep = self.counts[busy] > 0
-        self.live[busy] = keep
-        survivors = busy[keep]
-        if self._fresh is None:
-            self.busy = survivors
-        else:
-            self.busy = np.concatenate([survivors, self._fresh])
-            self._fresh = None
+    run = items[grouped]
+    run_queue = queues[grouped]
+    count = run.shape[0]
+    bounds_mask = np.empty(count + 1, dtype=bool)
+    bounds_mask[0] = bounds_mask[count] = True
+    np.not_equal(run_queue[1:], run_queue[:-1], out=bounds_mask[1:count])
+    bounds = bounds_mask.nonzero()[0]
+    starts = bounds[:-1]
+    queue_ids = run_queue[starts]
+    due_before = due[queue_ids]
+    # One scatter chains every group; the cross-group links it also
+    # writes sit past a tail and are overwritten by the next append.
+    link[run[:-1]] = run[1:]
+    link[np.where(due_before <= now, queue_ids, tail[queue_ids])] = run[starts]
+    tail[queue_ids] = run[bounds[1:] - 1]
+    due_after = np.maximum(due_before, now) + (bounds[1:] - starts)
+    due[queue_ids] = due_after
+    return queue_ids, starts, due_before, due_after
 
 
 def _shortest_paths(

@@ -99,22 +99,39 @@ def forward_demands(
             recovery=getattr(context, "recovery", None) or "fail-fast",
         )
         return report.rounds, report.messages
-    network = Network(graph)
-    per_node: list[list[int]] = [[] for _ in range(graph.num_nodes)]
+    return _forward_on(
+        Network(graph), origins, targets, validate=validate, workers=workers
+    )
+
+
+def _forward_on(
+    network: Network,
+    origins,
+    targets,
+    validate: str = "full",
+    workers: int = 1,
+) -> tuple[int, int]:
+    """The clean-wire body of :func:`forward_demands`, on a built network.
+
+    Callers that forward many demand sets over one graph (the walk
+    replay) build the :class:`Network` once and pass it here.
+    """
+    num_nodes = network.graph.num_nodes
+    per_node: list[list[int]] = [[] for _ in range(num_nodes)]
     for origin, target in zip(origins, targets):
         per_node[int(origin)].append(int(target))
+    expected = sum(len(demands) for demands in per_node)
     algorithms = [
         TokenForwarder(network.context(v), per_node[v])
-        for v in range(graph.num_nodes)
+        for v in range(num_nodes)
     ]
     stats = network.run(
         algorithms,
-        max_rounds=10 * len(list(origins)) + 100,
+        max_rounds=10 * expected + 100,
         validate=validate,
         workers=workers,
     )
     delivered = sum(algorithm.received for algorithm in algorithms)
-    expected = sum(len(demands) for demands in per_node)
     if delivered != expected:
         raise RuntimeError(
             f"forwarding lost messages: {delivered} != {expected}"

@@ -33,10 +33,10 @@ from itertools import chain as _chain
 
 import numpy as np
 
-from ..baselines.routing_baselines import schedule_paths, schedule_paths_csr
+from ..baselines.routing_baselines import schedule_paths_csr
 from ..graphs.graph import Graph
 from ..rng import derive_rng
-from .forwarding import forward_demands
+from .forwarding import _forward_on, forward_demands
 from .network import Network
 from .walk_engine_vec import forward_pass_vec
 from .walk_state import ForwardWalkNode, WalkState, WalkTape
@@ -172,6 +172,48 @@ def _reverse_rows_csr(flat: np.ndarray, pptr: np.ndarray) -> np.ndarray:
     return flat[mirror]
 
 
+def _rows_csr(
+    flat: np.ndarray, ptr: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of a CSR, in that order, as a new CSR."""
+    lens = ptr[rows + 1] - ptr[rows]
+    out_ptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+    np.cumsum(lens, out=out_ptr[1:])
+    gather = np.repeat(ptr[rows] - out_ptr[:-1], lens)
+    gather += np.arange(int(out_ptr[-1]), dtype=np.int64)
+    return flat[gather], out_ptr
+
+
+def _both_ways_csr(
+    flat: np.ndarray, ptr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every row, then every row reversed: one message per overlay edge
+    in each direction."""
+    return (
+        np.concatenate((flat, _reverse_rows_csr(flat, ptr))),
+        np.concatenate((ptr, ptr[1:] + ptr[-1])),
+    )
+
+
+def _traversing_csr(
+    flat: np.ndarray, ptr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows with more than one node (the paths that cross a wire),
+    in order — the packet set every scheduler call here takes."""
+    lens = np.diff(ptr)
+    keep = lens > 1
+    out_ptr = np.zeros(int(np.count_nonzero(keep)) + 1, dtype=np.int64)
+    np.cumsum(lens[keep], out=out_ptr[1:])
+    return flat[np.repeat(keep, lens)], out_ptr
+
+
+def _csr_lists(flat: np.ndarray, ptr: np.ndarray) -> list[list[int]]:
+    """A CSR as a list of int lists (the public ``edge_paths`` form)."""
+    values = flat.tolist()
+    bounds = ptr.tolist()
+    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def build_native_g0(
     graph: Graph,
     walks_per_vnode: int,
@@ -227,115 +269,118 @@ def build_native_g0(
     target_vnodes = graph.indptr[endpoints] + offsets
     # Select up to `degree` distinct targets per owner, remembering which
     # walk produced each kept edge (for its path).
-    edges: list[tuple[int, int]] = []
-    edge_paths: list[list[int]] = []
     by_owner: dict[int, dict[int, int]] = {}
-    for walk_id in range(owners.shape[0]):
-        owner = int(owners[walk_id])
-        target = int(target_vnodes[walk_id])
+    for walk_id, (owner, target) in enumerate(
+        zip(owners.tolist(), target_vnodes.tolist())
+    ):
         if target == owner:
             continue
         bucket = by_owner.setdefault(owner, {})
         if target not in bucket and len(bucket) < degree:
             bucket[target] = walk_id
-    path_list = path_flat.tolist()
+    edges: list[tuple[int, int]] = []
+    kept_walks: list[int] = []
     for owner, bucket in sorted(by_owner.items()):
         for target, walk_id in bucket.items():
             edges.append((owner, target))
-            edge_paths.append(
-                path_list[int(path_ptr[walk_id]) : int(path_ptr[walk_id + 1])]
-            )
+            kept_walks.append(walk_id)
+    edge_flat, edge_ptr = _rows_csr(
+        path_flat, path_ptr, np.array(kept_walks, dtype=np.int64)
+    )
     overlay = Graph(num_vnodes, edges)
     # One native overlay round: a message along every edge, both ways.
-    both_ways = edge_paths + [list(reversed(p)) for p in edge_paths]
-    native_round = schedule_paths(
-        [path for path in both_ways if len(path) > 1],
+    native_round = schedule_paths_csr(
+        *_traversing_csr(*_both_ways_csr(edge_flat, edge_ptr)),
         rng=derive_rng(seed, 100),
     )
     return NativeG0(
         graph=graph,
         overlay=overlay,
         vnode_host=vnode_host,
-        edge_paths=edge_paths,
+        edge_paths=_csr_lists(edge_flat, edge_ptr),
         build_rounds=build_rounds,
         round_rounds=native_round.rounds,
     )
 
 
-def _oriented_arc_paths(g0: NativeG0) -> list[list[int]]:
-    """Per overlay arc, the embedded path oriented tail-host → head-host.
+def _arc_segments(g0: NativeG0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per overlay arc, its embedded path oriented tail-host → head-host,
+    minus the first node (the walk's host whenever the arc is taken).
 
-    One pass over the arcs — each arc resolves its undirected edge via
-    ``arc_edge`` directly, replacing the old per-edge
-    ``np.flatnonzero(arc_edge == eid)`` scan that was
-    O(num_arcs · num_edges).
+    Returns ``(nodes, seg_start, seg_len)``: arc ``a``'s segment is
+    ``nodes[seg_start[a]:seg_start[a] + seg_len[a]]``.  ``nodes`` is
+    the G0 edge paths' both-ways CSR (every path, then every path
+    reversed), so an arc's segment is the row of its edge — reversed
+    when the arc runs head to tail — without its first node.  The paths
+    are read from ``g0.edge_paths``, so every consistency check applies
+    to the lists callers see.
     """
     overlay = g0.overlay
-    num_edges = len(g0.edge_paths)
-    # arc_tails is a rebuilt-per-access property: hoist it (indexing it
-    # inside the loop re-materialized the whole array once per arc).
-    arc_tails = overlay.arc_tails
+    edge_paths = g0.edge_paths
+    num_edges = len(edge_paths)
+    lens = np.fromiter(map(len, edge_paths), dtype=np.int64, count=num_edges)
+    ptr = np.zeros(num_edges + 1, dtype=np.int64)
+    np.cumsum(lens, out=ptr[1:])
+    # Node ids fit int32 by a wide margin; the chain arrays are the
+    # largest objects this builder touches, so the narrow dtype halves
+    # the memory traffic of every gather below.
+    flat = np.fromiter(
+        _chain.from_iterable(edge_paths), dtype=np.int32, count=int(ptr[-1])
+    )
+    nodes, both_ptr = _both_ways_csr(flat, ptr)
     arc_edge = overlay.arc_edge
-    arc_paths: list[list[int] | None] = [None] * overlay.num_arcs
-    for arc in range(overlay.num_arcs):
-        eid = int(arc_edge[arc])
-        if eid >= num_edges:
-            continue
-        path = g0.edge_paths[eid]
-        tail_host = int(g0.vnode_host[arc_tails[arc]])
-        if tail_host == path[0]:
-            arc_paths[arc] = path
-        elif tail_host == path[-1]:
-            arc_paths[arc] = path[::-1]
-        else:
-            raise ValueError(
-                f"G0 edge path for overlay arc {arc} starts at "
-                f"{path[0]} and ends at {path[-1]}, neither of which is "
-                f"the arc's tail host {tail_host}; edge_paths is "
-                "inconsistent with the overlay"
-            )
-    missing = [arc for arc, path in enumerate(arc_paths) if path is None]
-    if missing:
+    present = np.flatnonzero(arc_edge < num_edges)
+    eids = arc_edge[present]
+    tail_host = g0.vnode_host[overlay.arc_tails[present]]
+    nonempty = lens[eids] > 0
+    first = np.full(eids.shape[0], -1, dtype=np.int64)
+    last = np.full(eids.shape[0], -1, dtype=np.int64)
+    first[nonempty] = flat[ptr[eids[nonempty]]]
+    last[nonempty] = flat[ptr[eids[nonempty] + 1] - 1]
+    forward = nonempty & (tail_host == first)
+    bad = np.flatnonzero(~forward & ~(nonempty & (tail_host == last)))
+    if bad.shape[0]:
+        arc = int(present[bad[0]])
+        path = edge_paths[int(eids[bad[0]])]
+        ends = (
+            f"starts at {path[0]} and ends at {path[-1]}, neither of "
+            "which is" if path else "is empty, so it cannot start at"
+        )
+        raise ValueError(
+            f"G0 edge path for overlay arc {arc} {ends} the arc's tail "
+            f"host {int(tail_host[bad[0]])}; edge_paths is inconsistent "
+            "with the overlay"
+        )
+    if present.shape[0] < overlay.num_arcs:
+        missing = np.flatnonzero(arc_edge >= num_edges).tolist()
         raise ValueError(
             f"overlay arcs {missing[:8]}{'...' if len(missing) > 8 else ''} "
             f"have no embedded G0 path ({num_edges} edge paths for "
             f"{overlay.num_arcs} arcs); the G0 overlay is inconsistent — "
             "e.g. built over a disconnected graph"
         )
-    return [path for path in arc_paths if path is not None]
+    rows = np.where(forward, eids, eids + num_edges)
+    seg_start = both_ptr[rows] + 1
+    return nodes, seg_start, both_ptr[rows + 1] - seg_start
 
 
 def _assemble_chains(
     g0: NativeG0,
-    arc_paths: list[list[int]],
+    segments: tuple[np.ndarray, np.ndarray, np.ndarray],
     owners: np.ndarray,
     arcs_taken: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Concatenate per-walk G0 segments, dropping consecutive duplicates.
 
-    ``arcs_taken`` is ``(length, num_walks)``; entry ``-1`` means the
-    walk stayed that step.  Returns CSR arrays ``(nodes, offsets)``: walk
-    ``w``'s real-node chain is ``nodes[offsets[w]:offsets[w + 1]]``,
-    starting at its owner's host.  (Host-local repeats cost no rounds,
-    hence the duplicate drop.)
+    ``segments`` is :func:`_arc_segments`' output; ``arcs_taken`` is
+    ``(length, num_walks)``, entry ``-1`` meaning the walk stayed that
+    step.  Returns CSR arrays ``(nodes, offsets)``: walk ``w``'s
+    real-node chain is ``nodes[offsets[w]:offsets[w + 1]]``, starting
+    at its owner's host.  (Host-local repeats cost no rounds, hence the
+    duplicate drop.)
     """
     num_walks = int(owners.shape[0])
-    # Flatten every arc segment (the path minus its first node, which is
-    # the walk's current host whenever the arc is taken).  Node ids fit
-    # int32 by a wide margin; the chain arrays are the largest objects
-    # this builder touches, so the narrow dtype halves the memory
-    # traffic of every gather below.
-    seg_lists = [path[1:] for path in arc_paths]
-    seg_len = np.fromiter(
-        map(len, seg_lists), dtype=np.int64, count=len(seg_lists)
-    )
-    seg_offsets = np.zeros(seg_len.shape[0] + 1, dtype=np.int64)
-    np.cumsum(seg_len, out=seg_offsets[1:])
-    seg_flat = np.fromiter(
-        _chain.from_iterable(seg_lists),
-        dtype=np.int32,
-        count=int(seg_offsets[-1]),
-    )
+    seg_nodes, seg_start, seg_len = segments
     # Crossing events, ordered walk-major then step-major — the order the
     # scalar loop appended segments in.
     events = arcs_taken.T
@@ -348,12 +393,12 @@ def _assemble_chains(
     np.cumsum(ev_len, out=ev_cum[1:])
     total_content = int(ev_cum[-1])
     # Gather all segment nodes in event order (CSR expansion): element j
-    # of event e sits at seg_offsets[arc_e] + (j - ev_cum[e]), so one
+    # of event e sits at seg_start[arc_e] + (j - ev_cum[e]), so one
     # fused repeat of the per-event base plus a single iota covers the
     # whole gather.
     iota = np.arange(total_content, dtype=np.int64)
-    content = seg_flat[
-        np.repeat(seg_offsets[ev_arcs] - ev_cum[:-1], ev_len) + iota
+    content = seg_nodes[
+        np.repeat(seg_start[ev_arcs] - ev_cum[:-1], ev_len) + iota
     ]
     # Interleave with the per-walk start hosts: exactly one start node
     # precedes each walk's content, so content element j lands at global
@@ -451,6 +496,10 @@ def replay_walk_run(
             "replay_walk_run needs a WalkRun recorded with "
             "record_trajectory=True"
         )
+    # A clean wire replays every step on one simulator; an active plan
+    # sends each step through forward_demands' reliable ARQ path.
+    clean = faults is None or faults.spec.is_null
+    network = Network(graph) if clean else None
     per_step: list[int] = []
     messages = 0
     for step in range(run.steps):
@@ -460,15 +509,24 @@ def replay_walk_run(
         if not moved.any():
             per_step.append(0)
             continue
-        rounds, sent = forward_demands(
-            graph,
-            before[moved],
-            after[moved],
-            validate=validate,
-            faults=faults,
-            context=context,
-            workers=workers,
-        )
+        if network is not None:
+            rounds, sent = _forward_on(
+                network,
+                before[moved].tolist(),
+                after[moved].tolist(),
+                validate=validate,
+                workers=workers,
+            )
+        else:
+            rounds, sent = forward_demands(
+                graph,
+                before[moved],
+                after[moved],
+                validate=validate,
+                faults=faults,
+                context=context,
+                workers=workers,
+            )
         per_step.append(rounds)
         messages += sent
     rounds = int(sum(max(1, r) for r in per_step))
@@ -519,7 +577,7 @@ def build_native_level1(
     rng = derive_rng(seed, 0)
     num_vnodes = g0.overlay.num_nodes
     parts = rng.integers(0, beta, size=num_vnodes)
-    arc_paths = _oriented_arc_paths(g0)
+    segments = _arc_segments(g0)
     walks_per = max(degree * beta, 2 * degree)
     indptr = g0.overlay.indptr
     indices = g0.overlay.indices
@@ -540,46 +598,40 @@ def build_native_level1(
         arcs = indptr[pos] + rng.integers(0, overlay_degrees[pos])
         arcs_taken[step, move] = arcs
         positions[move] = indices[arcs]
-    chains, chain_offsets = _assemble_chains(g0, arc_paths, owners, arcs_taken)
+    chains, chain_offsets = _assemble_chains(g0, segments, owners, arcs_taken)
+    del segments, arcs_taken
     # --- Same-part endpoint selection, in vnode-major walk order.
     edges: list[tuple[int, int]] = []
     edge_path_walks: list[int] = []
     kept: dict[int, set[int]] = {}
     same_part = parts[positions] == parts[owners]
-    for walk_id in np.flatnonzero(same_part & (positions != owners)):
-        vnode = int(owners[walk_id])
-        position = int(positions[walk_id])
+    candidates = np.flatnonzero(same_part & (positions != owners))
+    for walk_id, vnode, position in zip(
+        candidates.tolist(),
+        owners[candidates].tolist(),
+        positions[candidates].tolist(),
+    ):
         bucket = kept.setdefault(vnode, set())
         if len(bucket) < degree and position not in bucket:
             bucket.add(position)
             edges.append((vnode, position))
-            edge_path_walks.append(int(walk_id))
-    # Schedule every traversing chain straight from the CSR (row order
-    # and the >1-node filter match the old list-of-lists construction,
-    # so the permutation draw — and hence the rounds — are unchanged).
-    lens = np.diff(chain_offsets)
-    traversing = lens > 1
-    trav_offsets = np.zeros(int(traversing.sum()) + 1, dtype=np.int64)
-    np.cumsum(lens[traversing], out=trav_offsets[1:])
+            edge_path_walks.append(walk_id)
+    # Schedule every traversing chain straight from the CSR.
     build = schedule_paths_csr(
-        chains[np.repeat(traversing, lens)],
-        trav_offsets,
-        rng=derive_rng(seed, 1),
+        *_traversing_csr(chains, chain_offsets), rng=derive_rng(seed, 1)
     )
-    flat = chains.tolist()
-    edge_paths: list[list[int]] = [
-        flat[int(chain_offsets[w]) : int(chain_offsets[w + 1])]
-        for w in edge_path_walks
-    ]
-    both_ways = edge_paths + [list(reversed(p)) for p in edge_paths]
-    native_round = schedule_paths(
-        [path for path in both_ways if len(path) > 1],
+    edge_flat, edge_ptr = _rows_csr(
+        chains, chain_offsets, np.array(edge_path_walks, dtype=np.int64)
+    )
+    del chains, chain_offsets
+    native_round = schedule_paths_csr(
+        *_traversing_csr(*_both_ways_csr(edge_flat, edge_ptr)),
         rng=derive_rng(seed, 2),
     )
     return NativeLevel(
         parts=parts,
         overlay=Graph(num_vnodes, edges),
-        edge_paths=edge_paths,
+        edge_paths=_csr_lists(edge_flat, edge_ptr),
         build_rounds=build.rounds,
         round_rounds=native_round.rounds,
     )

@@ -257,36 +257,28 @@ class Network:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self._neighbor_lists = [
-            tuple(int(w) for w in graph.neighbors(v))
-            for v in range(graph.num_nodes)
-        ]
+        # Plain-int tables, sliced out of one tolist() per CSR array.
+        indptr = graph.indptr.tolist()
+        indices = graph.indices.tolist()
+        rows = list(zip(indptr, indptr[1:]))
+        self._neighbor_lists = [tuple(indices[lo:hi]) for lo, hi in rows]
         # O(1) membership for outbox validation (the lists stay around
         # for NodeContext, which promises a stable neighbour order).
         self._neighbor_sets = [
             frozenset(neighbors) for neighbors in self._neighbor_lists
         ]
         # neighbour id -> arc index, per node: lets delivery and weight
-        # lookups resolve a target to its arc without scanning.
+        # lookups resolve a target to its arc without scanning (with
+        # parallel arcs, the last one wins).
         self._neighbor_arcs: list[dict[int, int]] = [
-            {
-                int(graph.indices[a]): int(a)
-                for a in range(graph.indptr[v], graph.indptr[v + 1])
-            }
-            for v in range(graph.num_nodes)
+            dict(zip(indices[lo:hi], range(lo, hi))) for lo, hi in rows
         ]
-        weighted = isinstance(graph, WeightedGraph)
-        self._weight_lists: list[Optional[tuple[float, ...]]] = []
-        for v in range(graph.num_nodes):
-            if weighted:
-                arcs = graph.arcs_of(v)
-                self._weight_lists.append(
-                    tuple(
-                        float(graph.weights[graph.arc_edge[a]]) for a in arcs
-                    )
-                )
-            else:
-                self._weight_lists.append(None)
+        self._weight_lists: list[Optional[tuple[float, ...]]]
+        if isinstance(graph, WeightedGraph):
+            weights = graph.weights[graph.arc_edge].tolist()
+            self._weight_lists = [tuple(weights[lo:hi]) for lo, hi in rows]
+        else:
+            self._weight_lists = [None] * graph.num_nodes
 
     def context(self, v: int) -> NodeContext:
         """Initial knowledge of node ``v``."""

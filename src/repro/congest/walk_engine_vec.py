@@ -20,10 +20,11 @@ execution from flat numpy arrays, in two stages:
    of the protocol is pure queueing: each move is a token in the FIFO
    queue of its ``(sender, target)`` node pair, each round every
    nonempty unblocked queue emits its head, and deliveries re-enqueue
-   the walk's next move.  Queues are array-backed linked lists (the
-   :class:`~repro.baselines.routing_baselines._SchedulerState` idiom),
-   so one CONGEST round costs a handful of numpy ops over the busy
-   queues.  The round/message/parked accounting replicates
+   the walk's next move.  Queues are array-backed linked lists with one
+   sentinel slot per queue — the queue kernel the packet scheduler
+   (:func:`repro.baselines.routing_baselines.schedule_paths_csr`) uses
+   too — so one CONGEST round costs a handful of numpy ops over the
+   busy queues.  The round/message/parked accounting replicates
    :meth:`repro.congest.network.Network.run` — including its faulty
    twin for crash windows under a self-heal
    :class:`~repro.congest.detector.CrashView` — event for event, which
@@ -69,6 +70,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..baselines.routing_baselines import _enqueue_groups
 from ..graphs.graph import Graph
 from ..walks.engine import advance_lazy_step
 from .detector import CrashView
@@ -192,41 +194,6 @@ def sample_trajectories(
     )
 
 
-def _append_batch(
-    qids: np.ndarray,
-    walks: np.ndarray,
-    keys: np.ndarray,
-    q_first: np.ndarray,
-    q_last: np.ndarray,
-    next_in: np.ndarray,
-) -> np.ndarray:
-    """Enqueue one round's tokens, ordered by ``(queue, key)``.
-
-    Links ``walks`` into the per-queue lists; returns the queues that
-    were empty before (the caller adds them to its busy set).
-    """
-    order = np.lexsort((keys, qids))
-    qs = qids[order]
-    ws = walks[order]
-    count = int(ws.shape[0])
-    if count == 0:
-        return _EMPTY
-    next_in[ws[:-1]] = np.where(qs[:-1] == qs[1:], ws[1:], -1)
-    next_in[ws[-1]] = -1
-    run_start = np.ones(count, dtype=bool)
-    run_start[1:] = qs[1:] != qs[:-1]
-    start_idx = np.flatnonzero(run_start)
-    run_q = qs[start_idx]
-    heads = ws[start_idx]
-    tails = ws[np.append(start_idx[1:] - 1, count - 1)]
-    was_empty = q_first[run_q] == -1
-    filled = run_q[~was_empty]
-    next_in[q_last[filled]] = heads[~was_empty]
-    q_first[run_q[was_empty]] = heads[was_empty]
-    q_last[run_q] = tails
-    return run_q[was_empty]
-
-
 @dataclass
 class VecPassStats:
     """Round accounting of one simulated protocol pass.
@@ -288,20 +255,36 @@ def simulate_walk_timing(
         return VecPassStats(0, 0, 0, finish_round, finish_sender)
     pair = mv_sender * num_nodes + mv_target
     uniq, mv_qid = np.unique(pair, return_inverse=True)
+    num_queues = int(uniq.shape[0])
     q_sender = (uniq // num_nodes).astype(np.int64)
     q_target = (uniq % num_nodes).astype(np.int64)
-    q_first = np.full(uniq.shape[0], -1, dtype=np.int64)
-    q_last = np.full(uniq.shape[0], -1, dtype=np.int64)
-    next_in = np.full(num_walks, -1, dtype=np.int64)
-    # wptr[w]: global index of w's currently queued / in-flight move.
-    wptr = np.zeros(num_walks, dtype=np.int64)
+    # Queue q's sentinel is slot q of ``link``; walk w's token is slot
+    # num_queues + w.  ``backlog`` counts each queue's tokens (parked
+    # queues do not drain, so unlike the scheduler's departure rounds
+    # the count is the state).
+    link = np.empty(num_queues + num_walks, dtype=np.intp)
+    tail = np.empty(num_queues, dtype=np.intp)
+    backlog = np.zeros(num_queues, dtype=np.int64)
+    qid_dtype = np.min_scalar_type(num_queues)
+    sender_dtype = np.min_scalar_type(num_nodes)
+    # Per token slot: global index of its queued / in-flight move, and
+    # the end of its moves.
+    wptr = np.zeros(num_queues + num_walks, dtype=np.int64)
+    wend = np.zeros(num_queues + num_walks, dtype=np.int64)
+    wend[num_queues:] = mv_ptr[1:]
     counts = np.diff(mv_ptr)
     travellers = np.flatnonzero(counts > 0)
-    wptr[travellers] = mv_ptr[travellers]
-    init_key = np.asarray(init_key, dtype=np.int64)
-    busy = _append_batch(
-        mv_qid[mv_ptr[travellers]], travellers, init_key[travellers],
-        q_first, q_last, next_in,
+    slots = travellers + num_queues
+    wptr[slots] = mv_ptr[travellers]
+    first_qid = mv_qid[mv_ptr[travellers]]
+    by_key = np.argsort(
+        np.asarray(init_key, dtype=np.int64)[travellers], kind="stable"
+    )
+    grouped = by_key[
+        np.argsort(first_qid[by_key].astype(qid_dtype), kind="stable")
+    ]
+    busy, _, _, _ = _enqueue_groups(
+        link, tail, backlog, 0, first_qid, slots, grouped
     )
     messages = 0
     parked = 0
@@ -338,10 +321,11 @@ def simulate_walk_timing(
             parked += int(np.count_nonzero(awake & blocked))
             emit_q = busy[eligible]
             held = busy[~eligible]
-        heads = q_first[emit_q]
-        q_first[emit_q] = next_in[heads]
-        still = q_first[emit_q] != -1
-        busy = np.concatenate((held, emit_q[still]))
+        heads = link[emit_q]
+        link[emit_q] = link[heads]
+        left = backlog[emit_q] - 1
+        backlog[emit_q] = left
+        busy = np.concatenate((held, emit_q[left > 0]))
         return heads
 
     in_flight = emit(0)
@@ -356,18 +340,29 @@ def simulate_walk_timing(
         messages += int(in_flight.shape[0])
         if in_flight.shape[0]:
             move = wptr[in_flight]
-            last = (move + 1) == mv_ptr[in_flight + 1]
-            done = in_flight[last]
+            last = (move + 1) == wend[in_flight]
+            done = in_flight[last] - num_queues
             finish_round[done] = rounds
             finish_sender[done] = mv_sender[move[last]]
-            advancing = in_flight[~last]
+            going = ~last
+            advancing = in_flight[going]
             if advancing.shape[0]:
-                next_move = move[~last] + 1
-                wptr[advancing] = next_move
-                fresh = _append_batch(
-                    mv_qid[next_move], advancing, mv_sender[move[~last]],
-                    q_first, q_last, next_in,
+                move = move[going]
+                wptr[advancing] = move + 1
+                # Same-queue appends go in delivering-sender order.
+                qids = mv_qid[move + 1]
+                by_sender = np.argsort(
+                    mv_sender[move].astype(sender_dtype), kind="stable"
                 )
+                grouped = by_sender[
+                    np.argsort(
+                        qids[by_sender].astype(qid_dtype), kind="stable"
+                    )
+                ]
+                queue_ids, _, before, _ = _enqueue_groups(
+                    link, tail, backlog, 0, qids, advancing, grouped
+                )
+                fresh = queue_ids[before <= 0]
                 if fresh.shape[0]:
                     busy = np.concatenate((busy, fresh))
         in_flight = emit(rounds)

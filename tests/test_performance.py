@@ -138,3 +138,43 @@ class TestChurnPathSpeed:
             3, lambda: _boundary_nodes(g0.overlay, parts, partition.beta)
         )
         assert elapsed < 0.2, f"boundary discovery too slow: {elapsed:.2f}s"
+
+
+class TestNativePathSpeed:
+    """Tripwires for the native path's store-and-forward loop and the
+    simulator's set-up.  Times below are from a 2-vCPU x86-64 VM
+    (Python 3.11, numpy 2.4)."""
+
+    def test_scheduler_saturated_walk_paths(self):
+        """18,432 walk paths on the n=256 6-regular graph (442k hops,
+        350 rounds, ~82% of the directed edges busy per round) in
+        ~65 ms; a per-packet Python loop would take seconds."""
+        from repro.baselines import schedule_paths_csr
+
+        graph = random_regular(256, 6, np.random.default_rng(340))
+        starts = np.repeat(graph.arc_tails, 12)
+        run = run_lazy_walks(
+            graph, starts, 48, np.random.default_rng(341),
+            record_trajectory=True,
+        )
+        trajectory = run.trajectory.T
+        keep = np.ones(trajectory.shape, dtype=bool)
+        keep[:, 1:] = trajectory[:, 1:] != trajectory[:, :-1]
+        nodes = trajectory[keep]
+        offsets = np.zeros(trajectory.shape[0] + 1, dtype=np.int64)
+        np.cumsum(keep.sum(axis=1), out=offsets[1:])
+        elapsed = _best_of(
+            3, lambda: schedule_paths_csr(nodes, offsets, seed=342)
+        )
+        result = schedule_paths_csr(nodes, offsets, seed=342)
+        assert result.rounds == 350
+        assert elapsed < 0.6, f"saturated scheduler too slow: {elapsed:.2f}s"
+
+    def test_network_setup(self):
+        """Network(graph) at n=1024, degree 8 in ~4.5 ms (the per-element
+        build it replaced took ~12 ms)."""
+        from repro.congest import Network
+
+        graph = random_regular(1024, 8, np.random.default_rng(343))
+        elapsed = _best_of(3, lambda: Network(graph))
+        assert elapsed < 0.03, f"Network set-up too slow: {elapsed:.3f}s"
